@@ -84,7 +84,7 @@ bench-service:
 # PERFORMANCE.md).
 bench-detect:
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectAll' -benchmem -benchtime 5x ./internal/detect/
-	$(GO) test -run '^$$' -bench 'PowerSpectrumInto|PowerSpectrumBandInto|SlidingBandDFT|BandScorer' -benchmem ./internal/dsp/
+	$(GO) test -run '^$$' -bench 'PowerSpectrumInto|PowerSpectrumBandInto|SlidingBandDFT' -benchmem ./internal/dsp/
 
 # The streaming fine scan and zero-copy PCM ingestion: streamed
 # (sliding-DFT fine hops + exact-at-peak re-check, the default-config
@@ -107,8 +107,8 @@ bench-lifecycle:
 	$(GO) test -run '^$$' -bench 'BenchmarkAuthentication$$|BenchmarkOnline' -benchmem -count=3 -benchtime 10x .
 
 # The multi-core load-harness scaling grid: piano-loadgen drives closed-loop
-# saturation workloads across GOMAXPROCS × concurrency × {sharded, unsharded}
-# × {batch, stream} and records BENCH_loadgen.json (PERFORMANCE.md "PR 9").
+# saturation workloads across GOMAXPROCS × concurrency × {batch, stream} and
+# records BENCH_loadgen.json (PERFORMANCE.md, "the first real scaling curve").
 bench-loadgen:
 	$(GO) run ./cmd/piano-loadgen -grid -json BENCH_loadgen.json
 

@@ -24,10 +24,9 @@
 // watchdog), with chunks delivered flat-out — the chunking stresses the
 // incremental scan path without slaving the run to audio real time.
 //
-// -shards exercises the service's sharded worker groups
-// (ServiceConfig.ShardCount); -grid ignores the single-run flags and
-// records the full scaling matrix — GOMAXPROCS × concurrency × {sharded,
-// unsharded} × {batch, stream} — as the BENCH_loadgen.json report.
+// -grid ignores the single-run flags and records the full scaling matrix —
+// GOMAXPROCS × concurrency × {batch, stream} — as the BENCH_loadgen.json
+// report.
 package main
 
 import (
@@ -69,7 +68,6 @@ type opts struct {
 
 	// Service sizing.
 	workers     int
-	shards      int
 	maxSessions int
 	queueDepth  int
 	queueWait   time.Duration
@@ -94,40 +92,6 @@ type opts struct {
 // framed reports whether the run feeds framed chunks over the lossy wire.
 func (o opts) framed() bool {
 	return o.loss > 0 || o.dup > 0 || o.reorder > 0 || o.corrupt > 0
-}
-
-// Shed categories, in report order. Every typed terminal error the service
-// can hand a load-generator client maps to exactly one of these; "other" is
-// reserved for errors the harness does not know — its count growing on a
-// known typed error is a reporting bug (pinned by TestCategoryCoversTypedErrors).
-var categories = []string{"overloaded", "closed", "stalled", "expired", "internal", "canceled", "insufficient", "other"}
-
-// category buckets one failed session by its typed cause. The reap
-// categories are checked before the context ones: a watchdog resolution is
-// reported as what the server decided (stalled/expired), never as the bare
-// context error the losing feeder also observed.
-func category(err error) string {
-	switch {
-	case errors.Is(err, piano.ErrSessionStalled):
-		return "stalled"
-	case errors.Is(err, piano.ErrSessionExpired):
-		return "expired"
-	case errors.Is(err, piano.ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, piano.ErrClosed):
-		return "closed"
-	case errors.Is(err, piano.ErrInternal):
-		return "internal"
-	case errors.Is(err, piano.ErrInsufficientAudio):
-		// The transport lost audio the decision would have had to trust;
-		// the server refused typed rather than guess. First-class, never
-		// "other": operators alert on this one separately.
-		return "insufficient"
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return "canceled"
-	default:
-		return "other"
-	}
 }
 
 // Percentiles is the decision-latency distribution of completed sessions.
@@ -159,7 +123,6 @@ type Summary struct {
 	Loop           string         `json:"loop"` // "closed" | "open"
 	GOMAXPROCS     int            `json:"gomaxprocs"`
 	Workers        int            `json:"workers"`
-	Shards         int            `json:"shards"`
 	Concurrency    int            `json:"concurrency,omitempty"`
 	OfferedRate    float64        `json:"offered_rate_per_sec,omitempty"`
 	Sessions       int            `json:"sessions"`
@@ -454,7 +417,6 @@ func summarize(outcomes []outcome, wall time.Duration, o opts) Summary {
 		Loop:        "closed",
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Workers:     o.workers,
-		Shards:      o.shards,
 		Concurrency: o.concurrency,
 		OfferedRate: o.rate,
 		Sessions:    len(outcomes),
@@ -471,7 +433,7 @@ func summarize(outcomes []outcome, wall time.Duration, o opts) Summary {
 	var lats []time.Duration
 	for _, out := range outcomes {
 		if out.err != nil {
-			s.Shed[category(out.err)]++
+			s.Shed[piano.Category(out.err)]++
 			continue
 		}
 		s.Completed++
@@ -507,8 +469,8 @@ func printSummary(w io.Writer, s Summary) {
 	} else {
 		fmt.Fprintf(w, "concurrency:       %8d workers\n", s.Concurrency)
 	}
-	fmt.Fprintf(w, "achieved:          %8.2f sessions/s over %.0f ms (GOMAXPROCS %d, %d workers, %d shards)\n",
-		s.SessionsPerSec, s.WallMS, s.GOMAXPROCS, s.Workers, s.Shards)
+	fmt.Fprintf(w, "achieved:          %8.2f sessions/s over %.0f ms (GOMAXPROCS %d, %d workers)\n",
+		s.SessionsPerSec, s.WallMS, s.GOMAXPROCS, s.Workers)
 	fmt.Fprintf(w, "decision latency:  p50 %.1f ms, p95 %.1f ms, p99 %.1f ms\n",
 		s.Latency.P50MS, s.Latency.P95MS, s.Latency.P99MS)
 	shed := 0
@@ -517,7 +479,7 @@ func printSummary(w io.Writer, s Summary) {
 	}
 	if shed > 0 {
 		fmt.Fprintf(w, "shed %d/%d:", shed, s.Sessions)
-		for _, cat := range categories {
+		for _, cat := range piano.Categories() {
 			if n := s.Shed[cat]; n > 0 {
 				fmt.Fprintf(w, " %s=%d", cat, n)
 			}
@@ -557,7 +519,6 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	fs.BoolVar(&o.retry, "retry", false, "retry ErrOverloaded sheds with the default RetryPolicy")
 	fs.Int64Var(&o.seed, "seed", 1, "run seed: per-session request seeds, arrival schedules, retry jitter")
 	fs.IntVar(&o.workers, "workers", 0, "detect worker pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&o.shards, "shards", 0, "worker-group shard count (0 = one shard)")
 	fs.IntVar(&o.maxSessions, "max-sessions", 0, "concurrent-session bound (0 = 4 × workers)")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "admission queue depth bound (0 = unbounded)")
 	fs.DurationVar(&o.queueWait, "queue-wait", 0, "admission queue wait bound (0 = unbounded)")
@@ -571,7 +532,7 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	fs.Float64Var(&o.reorder, "reorder", 0, "per-frame reorder probability over the lossy wire (with -stream)")
 	fs.Float64Var(&o.corrupt, "corrupt", 0, "per-frame corruption probability over the lossy wire (with -stream)")
 	jsonPath := fs.String("json", "", "write the machine-readable summary to this path (\"-\" = stdout)")
-	grid := fs.Bool("grid", false, "record the scaling grid (GOMAXPROCS × concurrency × shards × mode) instead of one run")
+	grid := fs.Bool("grid", false, "record the scaling grid (GOMAXPROCS × concurrency × mode) instead of one run")
 	gomaxprocs := fs.Int("gomaxprocs", 0, "set GOMAXPROCS for the run (0 = leave)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -610,7 +571,6 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 
 	cfg := piano.DefaultServiceConfig()
 	cfg.Workers = o.workers
-	cfg.ShardCount = o.shards
 	cfg.MaxSessions = o.maxSessions
 	cfg.MaxQueueDepth = o.queueDepth
 	cfg.MaxQueueWait = o.queueWait
@@ -620,7 +580,6 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 		return err
 	}
 	defer svc.Close()
-	o.shards = svc.Shards()
 	if o.workers == 0 {
 		o.workers = runtime.GOMAXPROCS(0)
 	}
@@ -632,8 +591,8 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 	if o.rate > 0 {
 		loop = fmt.Sprintf("open @ %g/s", o.rate)
 	}
-	fmt.Fprintf(w, "piano-loadgen: %d %s sessions, %s loop, GOMAXPROCS %d, %d workers, %d shards\n",
-		o.sessions, mode, loop, runtime.GOMAXPROCS(0), o.workers, o.shards)
+	fmt.Fprintf(w, "piano-loadgen: %d %s sessions, %s loop, GOMAXPROCS %d, %d workers\n",
+		o.sessions, mode, loop, runtime.GOMAXPROCS(0), o.workers)
 
 	s := runLoad(ctx, svc, workload(o.sessions, o.seed), o)
 	printSummary(w, s)

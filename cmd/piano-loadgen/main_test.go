@@ -4,66 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/acoustic-auth/piano"
 )
-
-// TestCategoryCoversTypedErrors is the shed-accounting contract: every
-// typed terminal error a piano.Service can hand a client maps to exactly
-// one report category — wrapped or bare — and "other" is reserved for
-// errors the harness has never heard of. A known error landing in "other"
-// is a reporting bug, not a new failure mode.
-func TestCategoryCoversTypedErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want string
-	}{
-		{"overloaded", piano.ErrOverloaded, "overloaded"},
-		{"overloaded wrapped by retry exhaustion",
-			fmt.Errorf("piano: gave up after 4 attempts: %w", piano.ErrOverloaded), "overloaded"},
-		{"closed", piano.ErrClosed, "closed"},
-		{"stalled", piano.ErrSessionStalled, "stalled"},
-		{"expired", piano.ErrSessionExpired, "expired"},
-		{"internal", piano.ErrInternal, "internal"},
-		{"internal wrapped", fmt.Errorf("piano: %w", piano.ErrInternal), "internal"},
-		{"insufficient audio", piano.ErrInsufficientAudio, "insufficient"},
-		{"insufficient audio wrapped",
-			fmt.Errorf("core: streaming detect (auth role): %w", piano.ErrInsufficientAudio), "insufficient"},
-		{"context canceled", context.Canceled, "canceled"},
-		{"context deadline", context.DeadlineExceeded, "canceled"},
-		{"unknown", errors.New("mystery"), "other"},
-	}
-	valid := map[string]bool{}
-	for _, cat := range categories {
-		valid[cat] = true
-	}
-	for _, tc := range cases {
-		got := category(tc.err)
-		if got != tc.want {
-			t.Errorf("%s: category = %q, want %q", tc.name, got, tc.want)
-		}
-		if !valid[got] {
-			t.Errorf("%s: category %q is not in the report order list", tc.name, got)
-		}
-		if tc.want != "other" && got == "other" {
-			t.Errorf("%s: known typed error leaked into the other bucket", tc.name)
-		}
-	}
-	// Both reap errors must match the category sentinel — the report's
-	// stalled/expired split refines ErrSessionReaped, it does not fork it.
-	for _, err := range []error{piano.ErrSessionStalled, piano.ErrSessionExpired} {
-		if !errors.Is(err, piano.ErrSessionReaped) {
-			t.Errorf("%v does not match ErrSessionReaped", err)
-		}
-	}
-}
 
 // parseSummary decodes the first JSON value in the output (a decoder stops
 // at the end of the value, so trailing report text is fine).
@@ -168,11 +113,11 @@ func TestRunStreamWithAbandons(t *testing.T) {
 	}
 }
 
-// TestRunGridJSON shrinks the grid to a 1-core batch column and checks the
-// recorded report shape end to end.
+// TestRunGridJSON shrinks the grid to a 1-core batch column at two
+// concurrencies and checks the recorded report shape end to end.
 func TestRunGridJSON(t *testing.T) {
 	oldCores, oldConc, oldModes, oldReps := gridCores, gridConcurrency, gridModes, gridReps
-	gridCores, gridConcurrency, gridModes, gridReps = []int{1}, []int{2}, []string{"batch"}, 1
+	gridCores, gridConcurrency, gridModes, gridReps = []int{1}, []int{1, 2}, []string{"batch"}, 1
 	defer func() { gridCores, gridConcurrency, gridModes, gridReps = oldCores, oldConc, oldModes, oldReps }()
 
 	path := t.TempDir() + "/grid.json"
@@ -188,7 +133,7 @@ func TestRunGridJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("grid JSON did not parse: %v", err)
 	}
-	if len(rep.Cells) != 2 { // shards 0 and gridShards
+	if len(rep.Cells) != 2 { // concurrency 1 and 2
 		t.Fatalf("grid recorded %d cells, want 2", len(rep.Cells))
 	}
 	for i, c := range rep.Cells {
@@ -196,8 +141,8 @@ func TestRunGridJSON(t *testing.T) {
 			t.Fatalf("cell %d implausible: %+v", i, c)
 		}
 	}
-	if rep.Cells[0].Shards == rep.Cells[1].Shards {
-		t.Fatalf("grid cells did not alternate shard layouts: %+v", rep.Cells)
+	if rep.Cells[0].Concurrency != 1 || rep.Cells[1].Concurrency != 2 {
+		t.Fatalf("grid cells did not follow the concurrency axis: %+v", rep.Cells)
 	}
 	if rep.Machine.Cores <= 0 || rep.Description == "" {
 		t.Fatalf("report metadata incomplete: %+v", rep.Machine)

@@ -79,38 +79,13 @@ func workload(sessions int) []piano.AuthRequest {
 	return reqs
 }
 
-// shedCategory buckets a failed session for the shutdown/chaos report.
-func shedCategory(err error) string {
-	switch {
-	case errors.Is(err, piano.ErrSessionStalled):
-		return "stalled"
-	case errors.Is(err, piano.ErrSessionExpired):
-		return "expired"
-	case errors.Is(err, piano.ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, piano.ErrClosed):
-		return "closed"
-	case errors.Is(err, piano.ErrInternal):
-		return "internal"
-	case errors.Is(err, piano.ErrInsufficientAudio):
-		return "insufficient"
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return "canceled"
-	default:
-		return "other"
-	}
-}
-
-// shedCategories is the report order for shed buckets.
-var shedCategories = []string{"stalled", "expired", "overloaded", "closed", "internal", "insufficient", "canceled", "other"}
-
 // printShed reports the shed map in category order.
 func printShed(w io.Writer, shed map[string]int, total, completed int) {
 	if len(shed) == 0 {
 		return
 	}
 	fmt.Fprintf(w, "\nshed %d/%d sessions:", total-completed, total)
-	for _, cat := range shedCategories {
+	for _, cat := range piano.Categories() {
 		if n := shed[cat]; n > 0 {
 			fmt.Fprintf(w, " %s=%d", cat, n)
 		}
@@ -456,7 +431,7 @@ drain:
 			for {
 				_, need, err := sn.TryResult()
 				if err != nil {
-					shed[shedCategory(err)]++
+					shed[piano.Category(err)]++
 					break
 				}
 				if need == 0 {
@@ -668,7 +643,7 @@ func runCtx(ctx context.Context, w io.Writer, args []string) error {
 			if !interrupted && !*chaos {
 				return errs[i]
 			}
-			shed[shedCategory(errs[i])]++
+			shed[piano.Category(errs[i])]++
 			continue
 		}
 		ref := serial[i]

@@ -561,7 +561,11 @@ func (d *Detector) Detect(recording []float64, sig *sigref.Signal) (Result, erro
 // scan streams whenever its hop is below the break-even (the paper's
 // default fine step of 10 is) and re-scores every near-peak window with an
 // exact FFT, so reported locations and powers are bit-identical to an
-// all-exact fine scan by construction (see the fine-scan section below).
+// all-exact fine scan by construction (see rescoreFinePeaks).
+//
+// DetectAll is a Stream fed the whole recording: the scan and the
+// reduction are Stream's, so a stream fed the same audio in any chunking
+// decides bit-identically.
 func (d *Detector) DetectAll(recording []float64, sigs ...*sigref.Signal) ([]Result, error) {
 	return d.detectAll(nil, recSource{f: recording}, sigs)
 }
@@ -605,123 +609,19 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
+// detectAll is the batch scan: a Stream over the caller's complete
+// recording, adopted without a copy (either representation — recSource
+// keeps the float path), advanced to the end in one scan and reduced by the
+// stream's fold. Batch and streaming decisions therefore share one argmax,
+// fine scan and absent check by construction.
 func (d *Detector) detectAll(ctx context.Context, rec recSource, sigs []*sigref.Signal) ([]Result, error) {
-	if len(sigs) == 0 {
-		return nil, errors.New("detect: no signals given")
-	}
-	for _, s := range sigs {
-		if s == nil {
-			return nil, errors.New("detect: nil signal")
-		}
-		if s.Params() != sigs[0].Params() {
-			return nil, errors.New("detect: signals have differing parameters")
-		}
-	}
-	winLen := sigs[0].Params().Length
-	if rec.len() < winLen {
-		return nil, fmt.Errorf("detect: recording %d shorter than window %d", rec.len(), winLen)
-	}
-	band, err := d.cfg.scanBand(sigs[0].Params())
+	st, err := d.newStream(rec.len(), sigs)
 	if err != nil {
 		return nil, err
 	}
-
-	specs := make([]*sigSpec, len(sigs))
-	for i, s := range sigs {
-		specs[i] = d.newSigSpec(s)
-	}
-
-	results := make([]Result, len(sigs))
-	bestIdx := make([]int, len(sigs))
-	bestPow := make([]float64, len(sigs))
-	for i := range bestPow {
-		bestPow[i] = math.Inf(-1)
-		bestIdx[i] = -1
-	}
-
-	// Coarse scan: one FFT per window, scored against every signal. The
-	// windows are scored across the worker pool, then reduced sequentially
-	// in window order, so the result (including ties, which the earliest
-	// window wins) is deterministic and independent of GOMAXPROCS —
-	// identical to running this engine's scan sequentially. (It is not
-	// bit-identical to the pre-plan implementation: the planned FFT rounds
-	// a few ULPs differently; see dsp.FFTPlan.)
-	limit := rec.len() - winLen
-	coarseCount := limit/d.cfg.CoarseStep + 1
-	sb := d.getScores(coarseCount * len(specs))
-	defer d.scorePool.Put(sb)
-
-	// The coarse scan streams (sliding-DFT hops between periodic full-FFT
-	// resyncs) when the measured break-even says the incremental update is
-	// cheaper than an independent band-restricted FFT per window; at the
-	// paper's default coarse step of 1000 it is not, and the scan runs
-	// exact per-window FFTs — bit-identical to the pre-streaming engine.
-	stream := !d.disableStream && dsp.StreamingWins(winLen, band.hi-band.lo, d.cfg.CoarseStep)
-	scores := sb.buf[:coarseCount*len(specs)]
-	if err := d.scanWindows(ctx, rec, winLen, 0, d.cfg.CoarseStep, coarseCount, band, stream, specs, scores, nil); err != nil {
-		return nil, err
-	}
-	for w := 0; w < coarseCount; w++ {
-		i := w * d.cfg.CoarseStep
-		row := scores[w*len(specs) : (w+1)*len(specs)]
-		for s := range specs {
-			if p := row[s]; p > bestPow[s] {
-				bestPow[s], bestIdx[s] = p, i
-			}
-		}
-	}
-	scanned := coarseCount
-
-	// The fine scan streams whenever its hop sits below the sliding-DFT
-	// break-even — the paper's default fine step of 10 does (break-even is
-	// hop ≲15 at the paper's 909-bin band) — without giving up the fine
-	// scan's exactness contract: streamed scores pick RE-CHECK CANDIDATES
-	// only. Every window whose streamed score could still be the true
-	// maximum (see fineDriftMargin) is re-scored with one exact
-	// band-restricted FFT, in window order, and the reported location and
-	// power come from those exact scores alone. The exact fine argmax (and
-	// any exact tie for it) always lands inside the candidate interval, so
-	// the result is bit-identical to an all-exact fine scan by
-	// construction; the per-window cost drops from one O(N·log N) FFT to
-	// O(bins·step) rotate-accumulate updates.
-	fineStream := !d.disableStream && dsp.StreamingWins(winLen, band.hi-band.lo, d.cfg.FineStep)
-
-	// Fine scan per signal around its coarse argmax.
-	for s, ss := range specs {
-		// Cancellation checkpoint between scan phases: an abandoned
-		// session stops before burning another fine scan.
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		results[s].WindowsScanned = scanned
-		results[s].CoarseScanned = scanned
-		if bestIdx[s] < 0 || math.IsInf(bestPow[s], -1) {
-			// Every coarse window failed the sanity checks: ⊥.
-			results[s].Power = bestPow[s]
-			results[s].Found = false
-			continue
-		}
-		fineCount, err := d.fineLocate(ctx, rec, winLen, limit, band, fineStream, specs[s:s+1], sb, &bestPow[s], &bestIdx[s])
-		if err != nil {
-			return nil, err
-		}
-		// The streamed evaluations stand in one-for-one for the exact
-		// evaluations of the historical all-exact fine scan (the handful of
-		// at-peak re-checks ride along uncounted), so the modeled per-window
-		// cost accounting is unchanged.
-		results[s].WindowsScanned += fineCount
-		results[s].Power = bestPow[s]
-		// Absent-signal check (Algorithm 1 lines 11–14 with the
-		// prototype's ε threshold): deny when the best match is weaker
-		// than ε·R_S.
-		if bestPow[s] < ss.absentFloor {
-			results[s].Found = false
-			continue
-		}
-		results[s].Location = bestIdx[s]
-		results[s].Found = true
-	}
-	return results, nil
+	st.rec = rec
+	results, _, err := st.results(ctx)
+	return results, err
 }
 
 // fineRange returns the fine-scan window sequence around a coarse argmax:
@@ -748,10 +648,8 @@ func (c Config) fineRange(bestIdx, limit int) (lo, hi, count int) {
 // all-exact fine reduction would, and returns the number of fine windows
 // evaluated. one is the single-spec slice for this signal (a subslice of
 // the caller's spec array, so the call is allocation-free); sb is the
-// caller's pooled score storage, grown in place as needed. Shared verbatim
-// between the batch scan (detectAll) and the incremental engine
-// (Stream.Results), which is what keeps streamed decisions bit-identical
-// to the batch oracle.
+// caller's pooled score storage, grown in place as needed. Called only
+// from Stream.Results, the fold batch and streaming scans share.
 func (d *Detector) fineLocate(ctx context.Context, rec recSource, winLen, limit int, band bandRange, fineStream bool, one []*sigSpec, sb *scoreBuf, bestPow *float64, bestIdx *int) (int, error) {
 	lo, _, fineCount := d.cfg.fineRange(*bestIdx, limit)
 	need := fineCount

@@ -24,14 +24,18 @@
 // and powers from exact scores only (bit-identical to an all-exact fine
 // scan by construction).
 //
-// Detector.NewStream is the incremental form of the same scan: a Stream
-// accumulates chunked PCM against the recording length declared at
-// construction (bounded by MaxStreamLength; over-feeding is rejected
-// whole with ErrFeedOverflow), scores coarse blocks as they complete on
-// the exact grid the batch scan would use, runs the fine re-check as soon
-// as the candidate band is buffered, and reports via Results either the
-// per-signal results or how many more samples it needs — after any prefix,
-// its state is bit-identical to a batch scan of that prefix.
+// Detector.NewStream is the incremental form of the same scan, and the
+// only implementation of its reduction: a Stream accumulates chunked PCM
+// against the recording length declared at construction (bounded by
+// MaxStreamLength; over-feeding is rejected whole with ErrFeedOverflow),
+// scores coarse windows as they complete on the fixed block grid, runs
+// the fine re-check as soon as the candidate band is buffered, and reports
+// via Results either the per-signal results or how many more samples it
+// needs. DetectAll and DetectAllPCM are a Stream fed the whole recording
+// at once (adopting the caller's float64 or int16 audio without a copy),
+// so batch and streaming share one argmax, fine-scan and absent-check
+// fold, and after any prefix a stream's state is bit-identical to a batch
+// scan of that prefix.
 //
 // Invariants: scans are bit-deterministic at any GOMAXPROCS and pool size —
 // streaming-scan workers claim contiguous hop blocks aligned to the resync

@@ -26,19 +26,20 @@ const MaxStreamLength = 1 << 24
 var ErrFeedOverflow = errors.New("detect: streamed PCM exceeds the declared recording length")
 
 // Stream is the incremental form of DetectAllPCM: one recording's scan fed
-// chunk by chunk while the audio is still arriving.
+// chunk by chunk while the audio is still arriving. It is also the only
+// implementation of Algorithm 1's reduction: DetectAll and DetectAllPCM
+// are a Stream fed the whole recording at once.
 //
 // The stream is declared with the recording's total length up front (the
 // session knows its recording duration before the first sample exists), so
 // the coarse window grid, the fine-scan clamping range, and the
 // WindowsScanned cost accounting are all fixed a priori — identical to the
-// batch scan of the eventual complete recording. Feed appends PCM and
-// advances the coarse scan over exactly the windows the new samples
-// completed, on the same fixed block grid and in the same window order as
-// the batch engine; Results reduces the scanned prefix and, once the
-// audio covering each candidate's fine band has arrived, runs the same
-// fine scan (streamed hops + exact-at-peak re-check, via the shared
-// fineLocate machinery) the batch engine runs.
+// scan of the eventual complete recording. Feed appends PCM and advances
+// the coarse scan over exactly the windows the new samples completed, on
+// the fixed block grid and in window order; Results reduces the scanned
+// prefix and, once the audio covering each candidate's fine band has
+// arrived, runs the fine scan (streamed hops + exact-at-peak re-check, via
+// fineLocate) and the ε absent check.
 //
 // Determinism contract: after the full declared length has been fed —
 // in chunks of ANY size, including all at once — Results is bit-identical
@@ -66,12 +67,12 @@ type Stream struct {
 	maxLost int // lost-sample ceiling (MaxLossFraction × total)
 
 	mu      sync.Mutex
-	buf     []int16   // arrived PCM, cap == total
+	rec     recSource // arrived audio; a fed stream's PCM has cap == total
 	scanned int       // coarse windows scored so far (prefix, window order)
 	scores  []float64 // coarse scores, grid.Count × len(specs)
 
 	// Lossy-transport accounting: spans declared lost via FeedLost,
-	// merged ascending, zero-filled in buf. Windows overlapping them are
+	// merged ascending, zero-filled in rec. Windows overlapping them are
 	// excluded from the Results fold (see loss.go).
 	lost        []lostSpan
 	lostSamples int
@@ -82,6 +83,22 @@ type Stream struct {
 // in DetectAll; total must cover at least one window and stay within
 // MaxStreamLength.
 func (d *Detector) NewStream(total int, sigs ...*sigref.Signal) (*Stream, error) {
+	if total > MaxStreamLength {
+		return nil, fmt.Errorf("detect: declared recording %d exceeds the %d-sample stream bound", total, MaxStreamLength)
+	}
+	st, err := d.newStream(total, sigs)
+	if err != nil {
+		return nil, err
+	}
+	st.rec.pcm = make([]int16, 0, total)
+	return st, nil
+}
+
+// newStream builds a stream's fixed state for a total-sample recording —
+// specs, band, window grid and loss ceiling — with no audio attached.
+// NewStream gives it a PCM buffer to feed; detectAll adopts the caller's
+// complete recording instead.
+func (d *Detector) newStream(total int, sigs []*sigref.Signal) (*Stream, error) {
 	if len(sigs) == 0 {
 		return nil, errors.New("detect: no signals given")
 	}
@@ -95,10 +112,7 @@ func (d *Detector) NewStream(total int, sigs ...*sigref.Signal) (*Stream, error)
 	}
 	winLen := sigs[0].Params().Length
 	if total < winLen {
-		return nil, fmt.Errorf("detect: declared recording %d shorter than window %d", total, winLen)
-	}
-	if total > MaxStreamLength {
-		return nil, fmt.Errorf("detect: declared recording %d exceeds the %d-sample stream bound", total, MaxStreamLength)
+		return nil, fmt.Errorf("detect: recording %d shorter than window %d", total, winLen)
 	}
 	band, err := d.cfg.scanBand(sigs[0].Params())
 	if err != nil {
@@ -109,6 +123,9 @@ func (d *Detector) NewStream(total int, sigs ...*sigref.Signal) (*Stream, error)
 		specs[i] = d.newSigSpec(s)
 	}
 	limit := total - winLen
+	// The coarse scan streams (sliding-DFT hops between periodic full-FFT
+	// resyncs) only below the measured break-even; at the paper's coarse
+	// step of 1000 every window gets an exact band-restricted FFT.
 	stream := !d.disableStream && dsp.StreamingWins(winLen, band.hi-band.lo, d.cfg.CoarseStep)
 	block := fftScanBlock
 	if stream {
@@ -135,7 +152,6 @@ func (d *Detector) NewStream(total int, sigs ...*sigref.Signal) (*Stream, error)
 		grid:    grid,
 		stream:  stream,
 		maxLost: int(frac * float64(total)),
-		buf:     make([]int16, 0, total),
 		scores:  make([]float64, grid.Count*len(specs)),
 	}, nil
 }
@@ -147,7 +163,7 @@ func (st *Stream) Total() int { return st.total }
 func (st *Stream) Fed() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.buf)
+	return st.rec.len()
 }
 
 // CoarseScanned returns how many coarse windows of the fixed grid have
@@ -169,64 +185,49 @@ func (st *Stream) CoarseScanned() int {
 func (st *Stream) Feed(ctx context.Context, pcm []int16) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.buf)+len(pcm) > st.total {
+	if fed := st.rec.len(); fed+len(pcm) > st.total {
 		return fmt.Errorf("%w: %d + %d samples against declared length %d",
-			ErrFeedOverflow, len(st.buf), len(pcm), st.total)
+			ErrFeedOverflow, fed, len(pcm), st.total)
 	}
-	st.buf = append(st.buf, pcm...)
+	st.rec.pcm = append(st.rec.pcm, pcm...)
 	return st.advance(ctx)
 }
 
 // advance scores coarse windows [scanned, frontier) — the windows fully
-// contained in the audio fed so far that have not been scored yet. Called
-// with st.mu held.
+// contained in the audio fed so far that have not been scored yet — in one
+// scan call. Called with st.mu held.
 //
 // In exact-FFT coarse mode (the paper's default: coarse step 1000 is far
 // above the sliding-DFT break-even) every window is scored by an
 // independent band-restricted FFT, so scores are independent of how the
-// windows are grouped into scan calls and the frontier advances in one
-// call. In streaming coarse mode the batch engine resynchronizes (full-FFT
-// Reset) at fixed StreamResyncHops block starts and slides within a block,
-// so the incremental scan advances block-aligned: each call covers whole
-// grid blocks from the block containing the frontier, re-sliding a partial
-// block's already-scored prefix when its block completes later —
-// recomputing bit-identical values, never diverging from the batch grid.
+// windows are grouped into scan calls. In streaming coarse mode the engine
+// resynchronizes (full-FFT Reset) at fixed StreamResyncHops block starts
+// and slides within a block, so the scan restarts at the start of the block
+// containing the frontier, re-sliding a partial block's already-scored
+// prefix — recomputing bit-identical values, never diverging from the
+// grid a one-call scan of the complete recording uses.
 func (st *Stream) advance(ctx context.Context) error {
-	frontier := st.grid.CompleteWindows(len(st.buf))
+	frontier := st.grid.CompleteWindows(st.rec.len())
 	if frontier <= st.scanned {
 		return nil
 	}
-	rec := recSource{pcm: st.buf}
+	w0 := st.scanned
+	if st.stream {
+		w0 -= w0 % st.grid.Block
+	}
 	k := len(st.specs)
-	if !st.stream {
-		lo := st.grid.WindowStart(st.scanned)
-		count := frontier - st.scanned
-		if err := st.d.scanWindows(ctx, rec, st.winLen, lo, st.grid.Step, count, st.band, false, st.specs, st.scores[st.scanned*k:frontier*k], nil); err != nil {
-			return err
-		}
-		st.scanned = frontier
-		return nil
+	if err := st.d.scanWindows(ctx, st.rec, st.winLen, st.grid.WindowStart(w0), st.grid.Step, frontier-w0, st.band, st.stream, st.specs, st.scores[w0*k:frontier*k], nil); err != nil {
+		return err
 	}
-	for b := st.scanned / st.grid.Block; ; b++ {
-		w0, w1 := st.grid.BlockBounds(b)
-		if w0 >= frontier {
-			break
-		}
-		end := w1
-		if end > frontier {
-			end = frontier
-		}
-		if err := st.d.scanWindows(ctx, rec, st.winLen, st.grid.WindowStart(w0), st.grid.Step, end-w0, st.band, true, st.specs, st.scores[w0*k:end*k], nil); err != nil {
-			return err
-		}
-		st.scanned = end
-	}
+	st.scanned = frontier
 	return nil
 }
 
-// Results reduces the scanned prefix into one Result per signal — the
-// same argmax fold, fine scan, exact-at-peak re-check, and ε absent check
-// the batch engine performs, over the windows arrived so far.
+// Results reduces the scanned prefix into one Result per signal:
+// Algorithm 1's argmax fold over the coarse windows, the fine scan around
+// each argmax with its exact-at-peak re-check, and the ε·R_S absent check.
+// It is the package's only such fold — DetectAll runs it over a stream fed
+// the complete recording.
 //
 // The int return is the need: 0 when the results are valid for the current
 // prefix, otherwise the largest number of additional samples required
@@ -239,11 +240,17 @@ func (st *Stream) advance(ctx context.Context) error {
 // Cost accounting note: WindowsScanned and CoarseScanned report the FULL
 // fixed grid's coarse count (known a priori from the declared length), not
 // the prefix's — the modeled per-window cost of the eventual complete scan,
-// byte-identical to the batch engine's accounting, which is what keeps an
-// early decision's modeled timing equal to the batch oracle's.
+// which is what keeps an early decision's modeled timing equal to the
+// batch oracle's.
 func (st *Stream) Results(ctx context.Context) ([]Result, int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.results(ctx)
+}
+
+// results is Results with st.mu held (or, for detectAll's private stream,
+// with no other user).
+func (st *Stream) results(ctx context.Context) ([]Result, int, error) {
 	// A stream past its loss ceiling never decides — the refusal is
 	// sticky and typed, whatever the caller does next.
 	if err := st.ceiling(); err != nil {
@@ -253,7 +260,7 @@ func (st *Stream) Results(ctx context.Context) ([]Result, int, error) {
 	if err := st.advance(ctx); err != nil {
 		return nil, 0, err
 	}
-	fed := len(st.buf)
+	fed := st.rec.len()
 	if st.scanned == 0 {
 		return nil, st.grid.NeedFor(0) - fed, nil
 	}
@@ -265,6 +272,8 @@ func (st *Stream) Results(ctx context.Context) ([]Result, int, error) {
 	// lost spans, never on chunking or GOMAXPROCS.
 	excl, nExcl := st.excludedWindows()
 
+	// Coarse argmax, reduced in window order whichever worker scored each
+	// window, so ties go to the earliest window at any GOMAXPROCS.
 	k := len(st.specs)
 	bestIdx := make([]int, k)
 	bestPow := make([]float64, k)
@@ -322,8 +331,13 @@ func (st *Stream) Results(ctx context.Context) ([]Result, int, error) {
 		}
 	}
 
+	// The fine scan streams whenever its hop sits below the sliding-DFT
+	// break-even (the paper's fine step of 10 does). Streamed scores only
+	// pick re-check candidates: every window whose streamed score could
+	// still be the true maximum (see fineDriftMargin) is re-scored with one
+	// exact band-restricted FFT, so locations and powers are bit-identical
+	// to an all-exact fine scan (see rescoreFinePeaks).
 	fineStream := !st.d.disableStream && dsp.StreamingWins(st.winLen, st.band.hi-st.band.lo, st.d.cfg.FineStep)
-	rec := recSource{pcm: st.buf}
 	sb := st.d.getScores(1)
 	defer st.d.scorePool.Put(sb)
 	results := make([]Result, k)
@@ -341,12 +355,17 @@ func (st *Stream) Results(ctx context.Context) ([]Result, int, error) {
 			results[s].Found = false
 			continue
 		}
-		fineCount, err := st.d.fineLocate(ctx, rec, st.winLen, st.limit, st.band, fineStream, st.specs[s:s+1], sb, &bestPow[s], &bestIdx[s])
+		fineCount, err := st.d.fineLocate(ctx, st.rec, st.winLen, st.limit, st.band, fineStream, st.specs[s:s+1], sb, &bestPow[s], &bestIdx[s])
 		if err != nil {
 			return nil, 0, err
 		}
+		// The streamed evaluations stand in one-for-one for the exact ones
+		// of an all-exact fine scan (the at-peak re-checks ride along
+		// uncounted), so the modeled per-window cost is unchanged.
 		results[s].WindowsScanned += fineCount
 		results[s].Power = bestPow[s]
+		// Absent check (Algorithm 1 lines 11–14 with the prototype's ε):
+		// deny when the best match is weaker than ε·R_S.
 		if bestPow[s] < ss.absentFloor {
 			if nExcl > 0 {
 				// An absent verdict is only trustworthy when every grid

@@ -14,8 +14,7 @@
 // per window length for lock-free hot-path lookup; SlidingBandDFT advances
 // band spectra incrementally per hop with periodic full-FFT resync, used
 // below the measured StreamingWins break-even, feeding on float64 or raw
-// PCM with a mutable hop size (SetStep); BandScorer picks Goertzel vs FFT
-// by the measured crossover; SparseFIR folds many fractional-delay taps
+// PCM with a mutable hop size (SetStep); SparseFIR folds many fractional-delay taps
 // (FIRTap) into a few dense coefficient segments using the canonical
 // Hann-windowed sinc kernel (SincDelayKernel — the single source of truth
 // shared with audio's per-tap mixer); HopGrid is the stateless chunk

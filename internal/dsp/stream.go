@@ -36,9 +36,8 @@ const (
 // StreamingWins reports whether advancing a band-limited sliding DFT by one
 // hop of step samples (cost ∝ bins·step rotate-accumulate updates) beats
 // recomputing an independent band-restricted FFT for the new window (cost ∝
-// n·log₂n butterflies + band unpack). The detector consults this the same
-// way BandScorer consults its Goertzel/FFT crossover: once per scan, from
-// measured constants rather than naive op counts.
+// n·log₂n butterflies + band unpack). The detector consults this once per
+// scan, from measured constants rather than naive op counts.
 //
 // At the paper's parameters (n = 4096, 939-bin candidate band) the
 // break-even hop is ~15 samples: the default coarse step of 1000 stays on

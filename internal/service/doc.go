@@ -60,14 +60,10 @@
 // sessions, and the watchdog chaos tests race sweeps against Close under
 // fault injection (the service.watchdog site).
 //
-// Sharded worker groups (PR 9): with Config.ShardCount > 1 the detection
-// machinery above — pool, detector workspace freelist, plan set — is
-// replicated into independent shards, and each admitted session is pinned
-// to one shard round-robin, so concurrent sessions stop contending on a
-// single scan queue and freelist. Workers stays the TOTAL budget, spread
-// across shards with a floor of one each; admission control (MaxSessions,
-// queue bounds) remains global. Because every shard is built from the same
-// Config and a session's decision is a pure function of (request, seed),
-// shard assignment cannot influence results: TestShardDeterminism pins
-// bit-identity across ShardCount 0/1/2/4 × GOMAXPROCS 1/2/4/8 under -race.
+// Determinism: a session's decision is a pure function of (request,
+// seed), whatever else the shared pool is scanning; TestShardDeterminism
+// pins bit-identity of concurrent batch and streaming sessions across
+// GOMAXPROCS 1/2/4/8 under -race. (Splitting the pool into per-session
+// shards was measured on two cores and brought no throughput gain, so the
+// service runs one worker group; see PERFORMANCE.md.)
 package service

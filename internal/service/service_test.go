@@ -1,7 +1,10 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -188,4 +191,102 @@ func TestServiceRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Core: bad}); err == nil {
 		t.Fatal("invalid core config accepted")
 	}
+}
+
+// TestShardDeterminism is the shared-pool determinism property: the same
+// request set decides bit-identically (Float64bits on the measured distance,
+// plus the full session report) under GOMAXPROCS 1, 2, 4, and 8, with the
+// sessions running concurrently on one service's worker pool — both the
+// batch and the streaming path. (Its name predates the removal of the
+// sharded layout, whose axis it also covered.) Runs under -race in CI.
+func TestShardDeterminism(t *testing.T) {
+	reqs := make([]Request, 4)
+	for i := range reqs {
+		reqs[i] = pairRequest(0.4+0.5*float64(i), int64(90+i))
+	}
+	reqs[1].Interferers = []DeviceSpec{{Name: "other-user", X: 2.1, Y: 1.3}}
+
+	// Baseline: the same requests, serial.
+	ref := newService(t, 2)
+	want := make([]*core.Result, len(reqs))
+	for i, req := range reqs {
+		res, err := ref.Authenticate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	wantStream, err := streamOne(ref, reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameDecision(wantStream, want[0]) {
+		t.Fatalf("baseline stream diverged from batch:\nstream %+v\nbatch  %+v", wantStream, want[0])
+	}
+	ref.Close()
+
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2, 4, 8} {
+		if testing.Short() && procs > 1 && procs != 4 {
+			continue
+		}
+		runtime.GOMAXPROCS(procs)
+		svc := newService(t, 2)
+
+		var wg sync.WaitGroup
+		results := make([]*core.Result, len(reqs))
+		errs := make([]error, len(reqs))
+		for i := range reqs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = svc.Authenticate(reqs[i])
+			}(i)
+		}
+		wg.Wait()
+		for i := range reqs {
+			if errs[i] != nil {
+				t.Fatalf("procs=%d request %d: %v", procs, i, errs[i])
+			}
+			if !sameDecision(results[i], want[i]) {
+				t.Fatalf("procs=%d request %d: decision diverged:\nconcurrent %+v\nbaseline   %+v",
+					procs, i, results[i], want[i])
+			}
+		}
+
+		res, err := streamOne(svc, reqs[0])
+		if err != nil {
+			t.Fatalf("procs=%d stream: %v", procs, err)
+		}
+		if !sameDecision(res, want[0]) {
+			t.Fatalf("procs=%d: streamed decision diverged:\nstreamed %+v\nbaseline %+v",
+				procs, res, want[0])
+		}
+		svc.Close()
+	}
+}
+
+// streamOne runs one full streaming session to its decision.
+func streamOne(svc *AuthService, req Request) (*core.Result, error) {
+	sn, err := svc.OpenSession(context.Background(), req)
+	if err != nil {
+		return nil, err
+	}
+	for _, role := range []core.Role{core.RoleAuth, core.RoleVouch} {
+		rec := sn.Recording(role)
+		for at := 0; at < len(rec); at += 4096 {
+			end := at + 4096
+			if end > len(rec) {
+				end = len(rec)
+			}
+			if err := sn.Feed(role, rec[at:end]); err != nil {
+				if errors.Is(err, ErrStreamDecided) {
+					break
+				}
+				return nil, err
+			}
+		}
+	}
+	return sn.Result()
 }

@@ -53,9 +53,6 @@ func validateConfig(cfg Config) error {
 			return fmt.Errorf("%w: %s %v is negative (0 disables the bound)", ErrConfig, d.name, d.v)
 		}
 	}
-	if cfg.ShardCount < 0 {
-		return fmt.Errorf("%w: ShardCount %d is negative (0 means one shard)", ErrConfig, cfg.ShardCount)
-	}
 	if cfg.ReorderWindow < 0 {
 		return fmt.Errorf("%w: ReorderWindow %d is negative (0 means the default window)", ErrConfig, cfg.ReorderWindow)
 	}

@@ -75,15 +75,6 @@ type ServiceConfig struct {
 	// resolves the session ErrSessionExpired. Default (0): no lifetime
 	// bound; negative values are rejected with ErrConfig.
 	SessionMaxLifetime time.Duration
-	// ShardCount splits the service's detection machinery (worker pool,
-	// detector scratch, FFT plans) into independent per-worker-group
-	// shards; sessions are pinned to one shard at admission, so concurrent
-	// sessions stop contending on a single scan queue and workspace
-	// freelist — the multi-core scaling knob. Workers remains the TOTAL
-	// worker budget, spread across shards (at least one each). Decisions
-	// are bit-identical at any ShardCount. Default (0): one shard, the
-	// pre-sharding layout; negative values are rejected with ErrConfig.
-	ShardCount int
 	// ReorderWindow bounds, in samples, how far ahead of the in-order
 	// frontier a framed session (FeedFrame) buffers out-of-order audio
 	// per role; past it the oldest gap is declared lost instead of
@@ -156,7 +147,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		MaxQueueDepth:      cfg.MaxQueueDepth,
 		SessionIdleTimeout: cfg.SessionIdleTimeout,
 		SessionMaxLifetime: cfg.SessionMaxLifetime,
-		ShardCount:         cfg.ShardCount,
 		ReorderWindow:      cfg.ReorderWindow,
 		GapRepairTimeout:   cfg.GapRepairTimeout,
 	})
@@ -242,10 +232,6 @@ func convertRequest(req AuthRequest) (service.Request, error) {
 
 // Sessions returns the number of sessions the service has completed.
 func (s *Service) Sessions() uint64 { return s.svc.Sessions() }
-
-// Shards returns the number of worker-group shards the service runs (1
-// when ShardCount was left at the default).
-func (s *Service) Shards() int { return s.svc.ShardCount() }
 
 // Close drains in-flight sessions and releases the service's workers.
 // Subsequent Authenticate calls fail.
